@@ -13,11 +13,13 @@ race:
 
 # verify is the full pre-merge gate: tier-1, the race detector over the
 # simulator core and the concurrent subsystems, an explicit build/vet of
-# the metrics layer, and the golden-stats suite (which pins that probes,
-# when disabled, leave every fixture byte-identical).
+# the metrics layer, the golden-stats suite (which pins that probes, when
+# disabled, leave every fixture byte-identical), and the end-to-end
+# benchmark module (its own go.mod, so ./... above does not reach it).
 verify: build vet
 	$(GO) build ./internal/obs/... && $(GO) vet ./internal/obs/...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/core/... ./internal/trace/... ./internal/sweep/... ./internal/faultinject/... ./internal/obs/... ./internal/cluster/...
 	$(GO) test -count=1 -run 'TestGoldenStats' ./internal/core
 	$(GO) test -count=1 ./scripts/benchdiff ./scripts/servediff ./scripts/sweepdiff

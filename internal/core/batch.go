@@ -2,85 +2,21 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"multicluster/internal/trace"
 )
 
 // This file is the batch runner behind batched sweeps: N config-variant
 // processors stepped over one shared, materialized trace
-// (trace.Artifact). Two structural savings fall out of the batch owning
-// every member's lifetime:
+// (trace.Artifact). The saving is the trace: it is generated once and
+// each member replays it through a zero-alloc cursor, instead of
+// re-running the workload driver (map lookups, address synthesis) once
+// per cell. Members run one after another, so the batch holds one
+// member's instruction ring at a time.
 //
-//   - the trace is generated once and each member replays it through a
-//     zero-alloc cursor, instead of re-running the workload driver (map
-//     lookups, address synthesis) once per cell;
-//   - the dynInst slab blocks of a completed member are recycled into the
-//     next member's allocator. A standalone processor can never reuse a
-//     retired instruction's storage (transfer-buffer release events and
-//     unresolved branches may hold pointers past retirement), but once a
-//     member's run has fully completed and its processor is discarded,
-//     nothing can reach into its slabs — so the next member reuses them,
-//     cutting the batch's allocation churn (and therefore GC time, the
-//     single largest non-simulation cost) by roughly the batch size.
-//
-// Each member still simulates exactly as it would standalone: recycled
-// blocks are zeroed before reuse, so the golden fixtures are
-// byte-identical between the batch path and N independent runs.
-
-// slabPool recycles slab blocks across batches: the first member of every
-// batch would otherwise allocate its full slab footprint fresh (the
-// dominant allocation of the whole batch path). Entries are only ever
-// blocks reclaimed from discarded processors, and take zeroes them, so
-// pooled storage is indistinguishable from fresh. sync.Pool keeps the
-// footprint GC-bounded.
-var slabPool sync.Pool
-
-// slabArena recycles dynInst slab blocks between processors whose
-// lifetimes the batch runner owns. Blocks are zeroed on take, so a
-// recycled block is indistinguishable from a fresh allocation.
-type slabArena struct {
-	free [][]dynInst
-}
-
-// take pops a recycled block, zeroed for reuse; nil when none is
-// available. Blocks reclaimed in this batch are preferred; otherwise the
-// cross-batch pool is consulted.
-func (a *slabArena) take() []dynInst {
-	n := len(a.free)
-	if n == 0 {
-		if v, ok := slabPool.Get().(*[]dynInst); ok {
-			b := *v
-			clear(b)
-			return b
-		}
-		return nil
-	}
-	b := a.free[n-1]
-	a.free[n-1] = nil
-	a.free = a.free[:n-1]
-	clear(b)
-	return b
-}
-
-// release returns the arena's remaining blocks to the cross-batch pool;
-// called once the batch is done with them.
-func (a *slabArena) release() {
-	for _, b := range a.free {
-		b := b
-		slabPool.Put(&b)
-	}
-	a.free = nil
-}
-
-// reclaim adopts every slab block of a processor whose run has
-// completed. The caller must not touch p afterwards: its machine state
-// still points into the reclaimed blocks.
-func (a *slabArena) reclaim(p *Processor) {
-	a.free = append(a.free, p.blocks...)
-	p.blocks = nil
-	p.slab = nil
-}
+// Each member simulates exactly as it would standalone, so the golden
+// fixtures are byte-identical between the batch path and N independent
+// runs.
 
 // RunBatch simulates one processor per configuration, each reading the
 // shared source through its own cursor, and returns the per-member
@@ -98,14 +34,11 @@ func RunBatch(cfgs []Config, src trace.Source) ([]Stats, error) {
 // batch stays fixture-identical).
 func RunBatchProbes(cfgs []Config, src trace.Source, probes *Probes) ([]Stats, error) {
 	stats := make([]Stats, len(cfgs))
-	arena := &slabArena{}
-	defer arena.release()
 	for i, cfg := range cfgs {
 		p, err := New(cfg, src.NewReader())
 		if err != nil {
 			return nil, fmt.Errorf("core: batch member %d: %w", i, err)
 		}
-		p.arena = arena
 		if probes != nil {
 			p.SetProbes(probes)
 		}
@@ -114,7 +47,6 @@ func RunBatchProbes(cfgs []Config, src trace.Source, probes *Probes) ([]Stats, e
 			return nil, fmt.Errorf("core: batch member %d: %w", i, err)
 		}
 		stats[i] = s
-		arena.reclaim(p)
 	}
 	return stats, nil
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"multicluster/internal/trace"
@@ -22,8 +21,7 @@ func (s sliceSource) NewReader() trace.Reader {
 
 // TestRunBatchMatchesStandalone pins the batch runner's core contract:
 // stepping N configurations over a shared source produces statistics
-// identical to N independent runs — slab recycling between members must be
-// invisible to the simulation.
+// identical to N independent runs.
 func TestRunBatchMatchesStandalone(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	_, entries := randomStream(rng, 20_000)
@@ -108,53 +106,5 @@ func TestRunBatchMemberError(t *testing.T) {
 	}
 	if want := "batch member 1"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not attribute the failing member (%q)", err, want)
-	}
-}
-
-// TestSlabArenaRecycles pins the arena mechanics the batch runner relies on:
-// reclaim adopts a completed processor's blocks and detaches them from the
-// processor, and take returns a recycled block zeroed — indistinguishable
-// from a fresh allocation.
-func TestSlabArenaRecycles(t *testing.T) {
-	slabPool = sync.Pool{} // isolate from blocks pooled by other tests
-	a := &slabArena{}
-	if b := a.take(); b != nil {
-		t.Fatal("take on an empty arena returned a block")
-	}
-
-	blk := make([]dynInst, dynInstSlabSize)
-	blk[3].seq = 99
-	blk[3].squashed = true
-	p := &Processor{blocks: [][]dynInst{blk}, slab: blk}
-	a.reclaim(p)
-	if p.blocks != nil || p.slab != nil {
-		t.Error("reclaim left the processor attached to its slabs")
-	}
-
-	got := a.take()
-	if got == nil {
-		t.Fatal("take returned nil after reclaim")
-	}
-	if &got[0] != &blk[0] {
-		t.Error("take did not return the reclaimed block's storage")
-	}
-	zero := dynInst{}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], zero) {
-			t.Fatalf("recycled block entry %d not zeroed: %+v", i, got[i])
-		}
-	}
-	if b := a.take(); b != nil {
-		t.Error("arena handed out the same block twice")
-	}
-
-	// release feeds the cross-batch pool: a later batch's arena starts
-	// empty but still recycles the released storage.
-	p2 := &Processor{blocks: [][]dynInst{got}, slab: got}
-	a.reclaim(p2)
-	a.release()
-	next := &slabArena{}
-	if b := next.take(); b == nil || &b[0] != &blk[0] {
-		t.Error("released block did not reach the cross-batch pool")
 	}
 }

@@ -53,8 +53,8 @@ func TestRetDependsOnCallRA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestDualDistributedStoreForwardsData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	stats, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +117,8 @@ func TestGlobalSourcesDoNotForceDual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	stats, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +153,8 @@ func TestFPSlaveConsumesFPSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,8 @@ func TestLowHighAssignmentInCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	stats, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +218,8 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +249,8 @@ func TestDuplicateRemoteSourceForwardsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	stats, err := p.Run()
 	if err != nil {
 		t.Fatal(err)

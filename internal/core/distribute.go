@@ -175,7 +175,7 @@ func (p *Processor) canDistribute(in *isa.Instruction, pl distPlan) (ok bool, qu
 // physical registers, inserts the copies into dispatch queues, and predicts
 // conditional branches (footnote 2: prediction happens here, at insertion).
 func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
-	d := p.newDynInst()
+	d := p.claimSlot()
 	*d = dynInst{
 		seq:         p.nextSeq,
 		idx:         item.idx,
@@ -193,50 +193,48 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 	p.nextSeq++
 
 	// lookup resolves the planned source registers to their in-flight
-	// producers in cluster cl. Retired producers are skipped: their values
-	// are committed (readyIn never exceeds doneCycle), so they can never
-	// delay an issue.
+	// producers in cluster cl. Retired producers (older than head) are
+	// skipped: their values are committed (readyIn never exceeds
+	// doneCycle), so they can never delay an issue.
 	lookup := func(u *uop, regs [2]isa.Reg, n, cl int) {
 		for i := 0; i < n; i++ {
-			if prod := p.rename[cl][regs[i]]; prod != nil && !prod.retired() {
+			if prod := p.rename[cl][regs[i]]; prod >= p.head {
 				u.srcs[u.nSrcs] = prod
 				u.nSrcs++
 			}
 		}
 	}
 
-	m := &d.mu
+	m := &d.master
 	*m = uop{
-		inst:          d,
 		cluster:       pl.masterCl,
 		master:        true,
 		fwdOperands:   pl.nSlave,
 		sendsResult:   pl.sendsResult,
+		memDep:        noInst,
 		slotClass:     item.in.Op.Class(),
 		distributedAt: t,
 	}
 	lookup(m, pl.masterSrcs, pl.nMaster, pl.masterCl)
-	d.master = m
 	d.copies = 1
-	p.queue[pl.masterCl] = append(p.queue[pl.masterCl], m)
+	p.queue[pl.masterCl] = append(p.queue[pl.masterCl], d.seq)
 	p.stats.Cluster[pl.masterCl].Distributed++
 
 	if pl.dual {
 		other := 1 - pl.masterCl
-		s := &d.su
+		s := &d.slave
 		*s = uop{
-			inst:          d,
 			cluster:       other,
 			master:        false,
 			opFwdSlave:    pl.nSlave > 0,
 			recvsResult:   pl.sendsResult,
+			memDep:        noInst,
 			slotClass:     slaveSlotClass(item.in, pl),
 			distributedAt: t,
 		}
 		lookup(s, pl.slaveSrcs, pl.nSlave, other)
-		d.slave = s
 		d.copies = 2
-		p.queue[other] = append(p.queue[other], s)
+		p.queue[other] = append(p.queue[other], d.seq)
 		p.stats.Cluster[other].Distributed++
 		p.stats.DualDist++
 		if s.opFwdSlave {
@@ -256,7 +254,7 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 		for c := 0; c < p.cfg.Clusters; c++ {
 			if pl.allocIn[c] {
 				d.prevProd[c] = p.rename[c][d.destReg]
-				p.rename[c][d.destReg] = d
+				p.rename[c][d.destReg] = d.seq
 				d.renamed[c] = true
 				p.freeRegs[c][fp]--
 			}
@@ -270,11 +268,11 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 	if p.lastStore != nil {
 		switch item.in.Op.Class() {
 		case isa.ClassLoad:
-			if st := p.lastStore[item.addr&^7]; st != nil && !st.retired() && !st.squashed {
+			if st, ok := p.lastStore[item.addr&^7]; ok && st >= p.head && !p.at(st).squashed {
 				m.memDep = st
 			}
 		case isa.ClassStore:
-			p.lastStore[item.addr&^7] = d
+			p.lastStore[item.addr&^7] = d.seq
 		}
 	}
 
@@ -283,10 +281,10 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 		d.isCondBr = true
 		d.snap = p.pred.Predict(isa.PCOf(item.idx))
 		d.mispredicted = d.snap.Taken() != item.taken
-		p.pendingBr = append(p.pendingBr, d)
+		p.pendingBr = append(p.pendingBr, d.seq)
 	}
 
-	p.active = append(p.active, d)
+	p.inFlight++
 	p.stats.Fetched++
 	if p.probes != nil && p.probes.Distribute != nil {
 		p.probes.Distribute(pl.dual)

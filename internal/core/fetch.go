@@ -40,7 +40,7 @@ func (p *Processor) fetch(t int64) bool {
 		// Dynamic reassignment hint: serialize, migrate, switch.
 		if len(p.reassigns) > 0 {
 			if r, ok := p.pendingReassign(item.idx); ok {
-				if len(p.active) > 0 || fetched > 0 {
+				if p.inFlight > 0 || fetched > 0 {
 					p.stats.Reassign.DrainCycles++
 					break // drain before switching
 				}
@@ -112,9 +112,9 @@ func (p *Processor) peekItem() *fetchItem {
 	if p.havePending {
 		return &p.pending
 	}
-	if len(p.refetch) > 0 {
-		p.pending = p.refetch[0]
-		p.refetch = p.refetch[1:]
+	if p.refetched < len(p.refetch) {
+		p.pending = p.refetch[p.refetched]
+		p.refetched++
 		p.havePending = true
 		return &p.pending
 	}
@@ -144,18 +144,26 @@ func (p *Processor) replay(t int64) error {
 	if oldest == nil {
 		return errDeadlock(p, t, "no unissued instruction")
 	}
-	// Squash everything younger than the blocked instruction (the active
-	// list is in sequence order, so that is everything past the cursor).
-	cut := p.unissuedHead + 1
-	if cut >= len(p.active) {
+	// Squash every live instruction younger than the blocked one, and
+	// refetch them in program order, ahead of any not-yet-fetched pending
+	// instruction and the rest of the trace.
+	items := p.refetchSpare[:0]
+	for s := oldest.seq + 1; s < p.nextSeq; s++ {
+		if d := p.at(s); !d.squashed {
+			items = append(items, fetchItem{idx: d.idx, in: d.in, addr: d.addr, taken: d.taken})
+		}
+	}
+	victims := len(items)
+	if victims == 0 {
 		return errDeadlock(p, t, "blocked instruction has no younger instructions to squash")
 	}
-	victims := p.active[cut:]
-	p.active = p.active[:cut]
 
 	// Undo youngest-first so rename tables unwind correctly.
-	for i := len(victims) - 1; i >= 0; i-- {
-		d := victims[i]
+	for s := p.nextSeq - 1; s > oldest.seq; s-- {
+		d := p.at(s)
+		if d.squashed {
+			continue
+		}
 		d.squashed = true
 		if d.destReg != isa.RegNone {
 			fp := bIdx(d.destReg.IsFP())
@@ -171,43 +179,38 @@ func (p *Processor) replay(t int64) error {
 		p.releaseHeld(d, false)
 		p.stats.ReplayedInstructions++
 	}
+	p.inFlight -= victims
 	// Remove squashed copies from the dispatch queues.
 	for c := 0; c < p.cfg.Clusters; c++ {
 		kept := p.queue[c][:0]
-		for _, u := range p.queue[c] {
-			if !u.inst.squashed {
-				kept = append(kept, u)
+		for _, h := range p.queue[c] {
+			if !p.at(h).squashed {
+				kept = append(kept, h)
 			}
 		}
 		p.queue[c] = kept
 	}
 	// Squashed-branch entries are pruned by resolveBranches; stale buffer
-	// release events are ignored by the held flags when they fire.
+	// release events are ignored when they fire (releaseBufferEntries).
 
-	// Refetch the victims in program order, ahead of any not-yet-fetched
-	// pending instruction and the rest of the trace.
-	items := make([]fetchItem, 0, len(victims)+1+len(p.refetch))
-	for _, d := range victims {
-		items = append(items, fetchItem{idx: d.idx, in: d.in, addr: d.addr, taken: d.taken})
-	}
 	if p.havePending {
 		items = append(items, p.pending)
 		p.havePending = false
 	}
-	items = append(items, p.refetch...)
-	p.refetch = items
+	items = append(items, p.refetch[p.refetched:]...)
+	p.refetchSpare, p.refetch, p.refetched = p.refetch, items, 0
 
 	p.fetchStallUntil = t + int64(p.cfg.ReplayPenalty)
 	p.fetchStallIsReplay = true
 	p.stats.Replays++
 	if p.probes != nil && p.probes.Replay != nil {
-		p.probes.Replay(len(victims))
+		p.probes.Replay(victims)
 	}
 	return nil
 }
 
 func errDeadlock(p *Processor, t int64, why string) error {
-	return &DeadlockError{Cycle: t, InFlight: len(p.active), Why: why}
+	return &DeadlockError{Cycle: t, InFlight: p.inFlight, Why: why}
 }
 
 // DeadlockError reports a machine state the replay mechanism cannot

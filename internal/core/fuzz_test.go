@@ -188,6 +188,14 @@ func machineInvariants(t testing.TB, cfg Config, entries []trace.Entry) Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runInvariants(t, p, int64(len(entries)))
+}
+
+// runInvariants is machineInvariants on a constructed processor that will
+// retire n instructions.
+func runInvariants(t testing.TB, p *Processor, n int64) Stats {
+	t.Helper()
+	cfg := p.cfg
 	lastSeq := int64(-1)
 	p.observe = func(d *dynInst) {
 		if d.seq <= lastSeq {
@@ -218,8 +226,8 @@ func machineInvariants(t testing.TB, cfg Config, entries []trace.Entry) Stats {
 	if p.cycle >= maxCycles {
 		t.Fatalf("machine did not drain within %d cycles: %v", maxCycles, stats)
 	}
-	if stats.Instructions != int64(len(entries)) {
-		t.Fatalf("retired %d of %d", stats.Instructions, len(entries))
+	if stats.Instructions != n {
+		t.Fatalf("retired %d of %d", stats.Instructions, n)
 	}
 	for c := 0; c < cfg.Clusters; c++ {
 		// With no in-flight instructions every physical register beyond

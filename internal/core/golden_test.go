@@ -94,8 +94,8 @@ func TestGoldenStats(t *testing.T) {
 // path: one materialized trace artifact per workload, core.RunBatch over the
 // four canonical machines, each member's snapshot compared against the same
 // fixtures the generator-fed suite uses. Byte-identical fixtures here are
-// the tentpole guarantee — materialization, cursor replay, and cross-member
-// slab recycling are all invisible to the simulation.
+// the batch path's core guarantee — materialization and cursor replay are
+// invisible to the simulation.
 func TestGoldenStatsBatch(t *testing.T) {
 	for _, w := range workload.All() {
 		w := w

@@ -11,11 +11,9 @@ func (p *Processor) issueCluster(c int, t int64) bool {
 	var classCount [isa.NumClasses]int
 
 	issuedAny := false
+	ring, mask := p.ring, p.ringMask // held in registers across the loop's stores
 	kept := p.queue[c][:0]
-	for i, u := range p.queue[c] {
-		if u.inst.squashed {
-			continue
-		}
+	for i, h := range p.queue[c] {
 		if total >= rules.All {
 			// The cycle's issue slots are spent; the rest of the queue is
 			// kept as is (squashed copies cannot appear here — replay
@@ -23,18 +21,20 @@ func (p *Processor) issueCluster(c int, t int64) bool {
 			kept = append(kept, p.queue[c][i:]...)
 			break
 		}
-		ok, bufferBlocked := p.canIssue(u, c, t, rules, &classCount, fpTotal, memTotal)
+		d := &ring[h&mask]
+		u := d.copyIn(c)
+		ok, bufferBlocked := p.canIssue(d, u, c, t, rules, &classCount, fpTotal, memTotal)
 		if !ok {
 			// Record when the machine's oldest unissued instruction is
 			// held up purely by transfer-buffer space: the §2.1 deadlock
 			// precondition the replay exception exists for.
-			if bufferBlocked && u.inst.seq == p.oldestUnissuedSeq {
+			if bufferBlocked && h == p.oldestUnissuedSeq {
 				p.bufBlockedNow = true
 			}
-			kept = append(kept, u)
+			kept = append(kept, h)
 			continue
 		}
-		p.doIssue(u, c, t)
+		p.doIssue(d, u, c, t)
 		issuedAny = true
 		total++
 		classCount[u.slotClass]++
@@ -49,10 +49,10 @@ func (p *Processor) issueCluster(c int, t int64) bool {
 	return issuedAny
 }
 
-// canIssue checks readiness and every per-cycle resource constraint for one
-// copy without side effects. bufferBlocked reports that the only thing
-// missing was transfer-buffer space.
-func (p *Processor) canIssue(u *uop, c int, t int64, rules isa.IssueRules, classCount *[isa.NumClasses]int, fpTotal, memTotal int) (ok, bufferBlocked bool) {
+// canIssue checks readiness and every per-cycle resource constraint for
+// copy u of d without side effects. bufferBlocked reports that the only
+// thing missing was transfer-buffer space.
+func (p *Processor) canIssue(d *dynInst, u *uop, c int, t int64, rules isa.IssueRules, classCount *[isa.NumClasses]int, fpTotal, memTotal int) (ok, bufferBlocked bool) {
 	if u.distributedAt >= t {
 		return false, false // issueable the cycle after insertion at the earliest
 	}
@@ -65,13 +65,15 @@ func (p *Processor) canIssue(u *uop, c int, t int64, rules isa.IssueRules, class
 	if u.master && u.slotClass.IsMem() && memTotal >= rules.Mem {
 		return false, false
 	}
-	if !u.srcsReady(t) || !u.interCopyReady(t) {
+	if !p.srcsReady(u, t) || !d.interCopyReady(u, t) {
 		return false, false
 	}
-	if d := u.memDep; d != nil && !d.squashed {
+	if h := u.memDep; h >= p.head {
 		// Store-queue forwarding: the value is available one cycle after
-		// the store issues.
-		if !d.master.issued || d.master.issueCycle+1 > t {
+		// the store issues. A store that has left the window retired one
+		// cycle or more after issuing; an in-flight one cannot be squashed
+		// while this younger load is not.
+		if st := &p.at(h).master; !st.issued || st.issueCycle+1 > t {
 			return false, false
 		}
 	}
@@ -87,7 +89,7 @@ func (p *Processor) canIssue(u *uop, c int, t int64, rules isa.IssueRules, class
 		}
 	}
 	if u.opFwdSlave {
-		if !p.bufferFits(1-c, u.inst.master.fwdOperands, true) {
+		if !p.bufferFits(1-c, d.master.fwdOperands, true) {
 			return false, true
 		}
 	}
@@ -117,12 +119,11 @@ func (p *Processor) freeDivider(c int, t int64) int {
 	return -1
 }
 
-// doIssue commits one copy's issue at cycle t and propagates its timing
-// effects.
-func (p *Processor) doIssue(u *uop, c int, t int64) {
+// doIssue commits the issue of copy u of d at cycle t and propagates its
+// timing effects.
+func (p *Processor) doIssue(d *dynInst, u *uop, c int, t int64) {
 	u.issued = true
 	u.issueCycle = t
-	d := u.inst
 	d.issuedCopies++
 	p.stats.IssuedOps++
 	p.stats.Cluster[c].IssuedUops++
@@ -156,17 +157,17 @@ func (p *Processor) doIssue(u *uop, c int, t int64) {
 		if u.fwdOperands > 0 {
 			// The master has read its slave's forwarded operands; the
 			// entries are reusable the next cycle.
-			p.pushBufEvent(t+1, d, true)
+			p.pushBufEvent(t+1, d.seq, true)
 		}
 		if u.sendsResult {
-			s := d.slave
+			s := &d.slave
 			p.resBufUsed[s.cluster]++
 			d.resHeld = true
 			if s.opFwdSlave {
 				// Scenario 5: the suspended slave wakes when the result
 				// reaches its cluster's buffer and writes its copy.
 				d.readyIn[s.cluster] = d.resultCycle + 1
-				p.pushBufEvent(d.resultCycle+1, d, false)
+				p.pushBufEvent(d.resultCycle+1, d.seq, false)
 			}
 		}
 	} else {
@@ -179,7 +180,7 @@ func (p *Processor) doIssue(u *uop, c int, t int64) {
 			// buffer and writes the physical register bound in its
 			// cluster.
 			d.readyIn[c] = t + 1
-			p.pushBufEvent(t+1, d, false)
+			p.pushBufEvent(t+1, d.seq, false)
 		}
 	}
 
@@ -193,7 +194,7 @@ func (p *Processor) doIssue(u *uop, c int, t int64) {
 func (p *Processor) completionCycle(d *dynInst) int64 {
 	done := d.resultCycle
 	if d.dual {
-		s := d.slave
+		s := &d.slave
 		var sDone int64
 		switch {
 		case s.opFwdSlave && s.recvsResult:

@@ -26,8 +26,8 @@ func TestLoadDelaySlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,8 @@ func TestDCacheMissDelaysDependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	stats, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +258,8 @@ func TestDividerNotPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -501,8 +501,8 @@ func TestStoreLoadForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestStoreLoadForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	retired = nil
-	p2.observe = func(d *dynInst) { retired = append(retired, d) }
+	p2.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +549,8 @@ func TestSpillReloadOrderedAfterSpillStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func (p *Processor) probeCycle(t int64) {
 		Cycle:      t,
 		OperandBuf: p.opBufUsed,
 		ResultBuf:  p.resBufUsed,
-		Active:     len(p.active),
+		Active:     p.inFlight,
 	}
 	for c := 0; c < p.cfg.Clusters; c++ {
 		s.Queue[c] = len(p.queue[c])

@@ -18,11 +18,12 @@ type Processor struct {
 	dcache *cache.Cache
 	pred   *bpred.Predictor
 
-	// Per-cluster machine state. The rename table is a dense array indexed
-	// directly by architectural register number (Reg values are 1..NumRegs;
-	// entry 0 is RegNone and stays nil).
-	queue    [2][]*uop
-	rename   [2][isa.NumRegs + 1]*dynInst
+	// Per-cluster machine state. Queue and rename entries name
+	// instructions by seq (see at). The rename table is a dense array
+	// indexed directly by architectural register number (Reg values are
+	// 1..NumRegs; entry 0 is RegNone and stays noInst).
+	queue    [2][]int64
+	rename   [2][isa.NumRegs + 1]int64
 	freeRegs [2][2]int // [cluster][0 int, 1 fp]
 	divFree  [2][]int64
 
@@ -35,32 +36,31 @@ type Processor struct {
 	resBufUsed [2]int
 	bufEvents  []bufEvent
 
-	active []*dynInst // fetch-order window (the active list)
-	// unissuedHead is the index into active of the oldest instruction with
-	// an unissued copy, advanced lazily (everything before it is fully
-	// issued). Retire pops decrement it; squash truncation preserves it.
-	unissuedHead int
-	pendingBr    []*dynInst
+	// ring is the active list: instruction seq s lives in slot
+	// ring[s&ringMask]. Seqs in [head, nextSeq) are in flight or squashed;
+	// older ones have retired or were squashed, and their slots are reused
+	// as nextSeq comes round again. The ring doubles when that span
+	// outgrows it.
+	ring     []dynInst
+	ringMask int64
+	head     int64 // oldest in-flight seq; nextSeq when none is
+	inFlight int   // live (not squashed) instructions in [head, nextSeq)
+	// unissued is the seq of the oldest instruction with an unissued
+	// copy, advanced lazily (everything before it is fully issued or
+	// squashed).
+	unissued  int64
+	pendingBr []int64
 
 	reader      trace.Reader
 	pending     fetchItem
 	havePending bool
-	refetch     []fetchItem
-	traceDone   bool
-
-	// slab hands out dynInst storage in blocks, one allocation per
-	// dynInstSlabSize instructions. Retired instructions are not reused
-	// (in-flight consumers may still hold pointers); the GC reclaims a
-	// block once nothing references into it.
-	slab []dynInst
-
-	// arena, when set (batch runs only), supplies recycled slab blocks
-	// from earlier batch members and collects this processor's blocks
-	// when its run completes; blocks tracks every block taken so the
-	// arena can reclaim them. Nil for standalone processors — recycling
-	// is only safe when one owner controls both processors' lifetimes.
-	arena  *slabArena
-	blocks [][]dynInst
+	// refetch[refetched:] are squashed instructions awaiting refetch;
+	// replay rebuilds the list in refetchSpare and swaps the two, so
+	// replays reuse their storage.
+	refetch      []fetchItem
+	refetched    int
+	refetchSpare []fetchItem
+	traceDone    bool
 
 	// linesTouched is fetch's per-cycle scratch for icache lines already
 	// accessed this cycle, kept across cycles to avoid reallocation.
@@ -78,9 +78,9 @@ type Processor struct {
 	// reassigns holds the not-yet-applied dynamic-reassignment hints.
 	reassigns []Reassignment
 
-	// lastStore maps a word-aligned address to the youngest store
-	// distributed to it, for store→load dependence tracking.
-	lastStore map[uint64]*dynInst
+	// lastStore maps a word-aligned address to the seq of the youngest
+	// store distributed to it, for store→load dependence tracking.
+	lastStore map[uint64]int64
 
 	// Buffer-deadlock detection: the sequence number of the oldest
 	// instruction with an unissued copy, whether it was blocked purely by
@@ -94,7 +94,8 @@ type Processor struct {
 	stats Stats
 
 	// observe, when set, is called for every retired instruction; used by
-	// white-box timing tests and by the pipeline-diagram tooling.
+	// white-box timing tests and by the pipeline-diagram tooling. The slot
+	// is reused later, so observers copy what they keep.
 	observe func(*dynInst)
 
 	// probes, when set via SetProbes, receives per-cycle occupancy samples
@@ -114,16 +115,19 @@ func New(cfg Config, r trace.Reader) (*Processor, error) {
 		dcache:       cache.MustNew(cfg.DCache),
 		pred:         bpred.New(cfg.Predictor),
 		reader:       r,
+		ring:         newRing(ringSize(cfg)),
 		maxIssuedSeq: -1,
 	}
+	p.ringMask = int64(len(p.ring) - 1)
 	p.reassigns = append(p.reassigns, cfg.Reassignments...)
 	if !cfg.UnorderedMemory {
-		p.lastStore = make(map[uint64]*dynInst)
+		p.lastStore = make(map[uint64]int64)
 	}
 	if cfg.CollectProfile {
 		p.stats.Profile = make(map[int]PCStat)
 	}
 	for c := 0; c < cfg.Clusters; c++ {
+		p.resetRename(c)
 		p.divFree[c] = make([]int64, cfg.Rules.FPDiv)
 		p.freeRegs[c][0] = cfg.IntRegs - p.backedRegs(c, false)
 		p.freeRegs[c][1] = cfg.FPRegs - p.backedRegs(c, true)
@@ -181,62 +185,89 @@ func (p *Processor) Run() (Stats, error) {
 }
 
 func (p *Processor) drained() bool {
-	return p.traceDone && !p.havePending && len(p.refetch) == 0 && len(p.active) == 0
+	return p.traceDone && !p.havePending && p.refetched == len(p.refetch) && p.inFlight == 0
 }
 
-// dynInstSlabSize is how many dynInst slots each slab block holds.
-const dynInstSlabSize = 256
+// noInst is the seq-handle of no instruction.
+const noInst = -1
 
-// newDynInst returns a zeroed dynInst from the current slab block.
-func (p *Processor) newDynInst() *dynInst {
-	if len(p.slab) == 0 {
-		p.slab = p.newSlabBlock()
+// ringSize is the ring's first capacity: the smallest power of two
+// covering every dispatch-queue entry and physical register. Only
+// destination-less instructions piling up behind a stalled oldest one, or
+// squashed seqs, can stretch the window past it (see claimSlot).
+func ringSize(cfg Config) int {
+	n := 1
+	for n < cfg.Clusters*(cfg.QueueSize+cfg.IntRegs+cfg.FPRegs) {
+		n <<= 1
 	}
-	d := &p.slab[0]
-	p.slab = p.slab[1:]
-	return d
+	return n
 }
 
-// newSlabBlock allocates the next slab block, preferring a recycled one
-// from the batch arena when this processor runs as part of a batch.
-func (p *Processor) newSlabBlock() []dynInst {
-	if p.arena == nil {
-		return make([]dynInst, dynInstSlabSize)
+// newRing allocates n empty slots; an empty slot's seq matches no handle.
+func newRing(n int) []dynInst {
+	r := make([]dynInst, n)
+	for i := range r {
+		r[i].seq = noInst
 	}
-	b := p.arena.take()
-	if b == nil {
-		b = make([]dynInst, dynInstSlabSize)
-	}
-	p.blocks = append(p.blocks, b)
-	return b
+	return r
 }
 
-// oldestUnissued advances the unissued cursor past fully-issued
-// instructions and returns the oldest one with an unissued copy, or nil.
-// The active list is in sequence order, so the cursor only moves forward
-// between retire pops.
+// at returns the slot of seq h. For h in [head, nextSeq) the slot holds
+// h; an older h has left the window, and its slot holds h only until it
+// is reused, so callers holding such a handle check the slot's seq.
+func (p *Processor) at(h int64) *dynInst { return &p.ring[h&p.ringMask] }
+
+// claimSlot returns the slot for seq nextSeq, first doubling the ring if
+// the window [head, nextSeq] would not fit. Growing moves only the
+// window's slots; handles stay valid because they are seqs.
+func (p *Processor) claimSlot() *dynInst {
+	if p.nextSeq-p.head >= int64(len(p.ring)) {
+		old, oldMask := p.ring, p.ringMask
+		p.ring = newRing(2 * len(old))
+		p.ringMask = int64(len(p.ring) - 1)
+		for s := p.head; s < p.nextSeq; s++ {
+			p.ring[s&p.ringMask] = old[s&oldMask]
+		}
+	}
+	return p.at(p.nextSeq)
+}
+
+// resetRename maps every architectural register of cluster c to its
+// committed value.
+func (p *Processor) resetRename(c int) {
+	for r := range p.rename[c] {
+		p.rename[c][r] = noInst
+	}
+}
+
+// oldestUnissued advances the unissued cursor past fully-issued and
+// squashed instructions and returns the oldest one with an unissued copy,
+// or nil. Retire never passes an instruction with an unissued copy, so
+// the cursor never falls behind head.
 func (p *Processor) oldestUnissued() *dynInst {
-	for p.unissuedHead < len(p.active) && p.active[p.unissuedHead].allIssued() {
-		p.unissuedHead++
-	}
-	if p.unissuedHead < len(p.active) {
-		return p.active[p.unissuedHead]
+	for ; p.unissued < p.nextSeq; p.unissued++ {
+		if d := p.at(p.unissued); !d.squashed && !d.allIssued() {
+			return d
+		}
 	}
 	return nil
 }
 
 // youngestBlocked reports whether the oldest unissued instruction is also
-// the youngest in flight (the active list is in sequence order).
+// the youngest in flight.
 func (p *Processor) youngestBlocked() bool {
-	n := len(p.active)
-	return n == 0 || p.active[n-1].seq <= p.oldestUnissuedSeq
+	s := p.nextSeq - 1
+	for s >= p.head && p.at(s).squashed {
+		s--
+	}
+	return s < p.head || s <= p.oldestUnissuedSeq
 }
 
 // queueLen returns cluster c's dispatch-queue occupancy.
 func (p *Processor) queueLen(c int) int { return len(p.queue[c]) }
 
 // activeLen returns the number of instructions in the active window.
-func (p *Processor) activeLen() int { return len(p.active) }
+func (p *Processor) activeLen() int { return p.inFlight }
 
 // step advances the machine one cycle: resolve branches, release expired
 // transfer-buffer entries, retire, issue, fetch/distribute, then check the
@@ -302,7 +333,7 @@ func (p *Processor) step() error {
 		p.bufBlockedRun = 0
 	case progress:
 		p.lastProgress = t
-	case len(p.active) > 0 && t-p.lastProgress >= int64(p.cfg.ReplayWatchdog):
+	case p.inFlight > 0 && t-p.lastProgress >= int64(p.cfg.ReplayWatchdog):
 		if err := p.replay(t); err != nil {
 			return err
 		}
@@ -317,9 +348,10 @@ func (p *Processor) step() error {
 // resolution (the machine would have been fetching the wrong path).
 func (p *Processor) resolveBranches(t int64) {
 	kept := p.pendingBr[:0]
-	for _, b := range p.pendingBr {
-		if b.squashed {
-			continue
+	for _, h := range p.pendingBr {
+		b := p.at(h)
+		if b.seq != h || b.squashed {
+			continue // squashed, or retired long enough that its slot was reused
 		}
 		if !b.resolved && b.master.issued && b.resultCycle <= t {
 			b.resolved = true
@@ -332,16 +364,18 @@ func (p *Processor) resolveBranches(t int64) {
 		if b.resolved && b.resultCycle+1 <= t {
 			continue // settled; fetch no longer blocked by it
 		}
-		kept = append(kept, b)
+		kept = append(kept, h)
 	}
 	p.pendingBr = kept
 }
 
-// fetchBlockedByBranch reports whether an in-flight mispredicted branch
-// still gates fetch at cycle t.
+// fetchBlockedByBranch reports whether a mispredicted branch still gates
+// fetch at cycle t. The branch may have retired this cycle; its slot still
+// holds it, because only distribution reuses slots and resolveBranches
+// dropped every entry whose slot was reused.
 func (p *Processor) fetchBlockedByBranch(t int64) bool {
-	for _, b := range p.pendingBr {
-		if b.mispredicted && (!b.resolved || b.resultCycle+1 > t) {
+	for _, h := range p.pendingBr {
+		if b := p.at(h); b.mispredicted && (!b.resolved || b.resultCycle+1 > t) {
 			return true
 		}
 	}
@@ -353,13 +387,13 @@ func (p *Processor) fetchBlockedByBranch(t int64) bool {
 // against occupancy from cycle `when` on.
 type bufEvent struct {
 	when int64
-	d    *dynInst
+	seq  int64
 	op   bool
 }
 
 // pushBufEvent schedules a release on the min-heap.
-func (p *Processor) pushBufEvent(when int64, d *dynInst, op bool) {
-	h := append(p.bufEvents, bufEvent{when, d, op})
+func (p *Processor) pushBufEvent(when, seq int64, op bool) {
+	h := append(p.bufEvents, bufEvent{when, seq, op})
 	for i := len(h) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if h[parent].when <= h[i].when {
@@ -373,7 +407,10 @@ func (p *Processor) pushBufEvent(when int64, d *dynInst, op bool) {
 
 // releaseBufferEntries frees every transfer-buffer claim whose release
 // time has arrived, at the start of cycle t. Claims already freed by a
-// squash are skipped via the held flags. Operand entries are occupied
+// squash are skipped via the held flags, or via the seq check once the
+// squashed instruction's slot is reused (every claim of a retired
+// instruction is due no later than its done cycle, so it is returned
+// before the instruction retires). Operand entries are occupied
 // from slave issue through master issue inclusive (released the cycle
 // after the master reads them); result entries from master issue through
 // the consuming slave's issue (scenarios 3/4) or through the result's
@@ -384,7 +421,6 @@ func (p *Processor) releaseBufferEntries(t int64) {
 		e := h[0]
 		n := len(h) - 1
 		h[0] = h[n]
-		h[n] = bufEvent{} // drop the dynInst reference
 		h = h[:n]
 		for i := 0; ; {
 			l := 2*i + 1
@@ -400,7 +436,9 @@ func (p *Processor) releaseBufferEntries(t int64) {
 			h[i], h[l] = h[l], h[i]
 			i = l
 		}
-		p.releaseHeld(e.d, e.op)
+		if d := p.at(e.seq); d.seq == e.seq {
+			p.releaseHeld(d, e.op)
+		}
 	}
 	p.bufEvents = h
 }
@@ -419,27 +457,24 @@ func (p *Processor) releaseHeld(d *dynInst, op bool) {
 	}
 }
 
-// retired reports whether the instruction has left the active list.
-func (d *dynInst) retired() bool { return d.retiredFlag }
-
 // retire commits completed instructions in program order, up to
 // RetireWidth per cycle, releasing the physical registers of the previous
 // mappings of their destinations.
 func (p *Processor) retire(t int64) bool {
 	n := 0
-	for n < p.cfg.RetireWidth && len(p.active) > 0 {
-		d := p.active[0]
+	for n < p.cfg.RetireWidth && p.inFlight > 0 {
+		d := p.at(p.head)
 		if !d.retireReady(t) {
 			break
 		}
-		p.active = p.active[1:]
-		if p.unissuedHead > 0 {
-			p.unissuedHead--
+		p.inFlight--
+		p.head++
+		for p.head < p.nextSeq && p.at(p.head).squashed {
+			p.head++ // squashed seqs leave the window with their elder
 		}
-		d.retiredFlag = true
 		// Drop the store-ordering entry once the store leaves the window,
-		// so the map only ever pins in-flight instructions.
-		if p.lastStore != nil && d.in.Op.Class() == isa.ClassStore && p.lastStore[d.addr&^7] == d {
+		// so the map only ever names in-flight instructions.
+		if p.lastStore != nil && d.in.Op.Class() == isa.ClassStore && p.lastStore[d.addr&^7] == d.seq {
 			delete(p.lastStore, d.addr&^7)
 		}
 		if d.destReg != isa.RegNone {
@@ -469,13 +504,6 @@ func (p *Processor) retire(t int64) bool {
 		if p.observe != nil {
 			p.observe(d)
 		}
-		// A retired instruction can never be squashed and never re-checks
-		// readiness, so its back-references are dead: clearing them breaks
-		// producer chains and lets the GC reclaim old slab blocks.
-		d.prevProd[0], d.prevProd[1] = nil, nil
-		d.mu.srcs[0], d.mu.srcs[1] = nil, nil
-		d.su.srcs[0], d.su.srcs[1] = nil, nil
-		d.mu.memDep = nil
 		n++
 	}
 	return n > 0

@@ -9,7 +9,7 @@ import (
 
 // run executes a hand-built instruction slice on cfg and returns the
 // retired instructions in order plus the stats.
-func run(t *testing.T, cfg Config, instrs []isa.Instruction, entries func(int, *isa.Instruction) trace.Entry) ([]*dynInst, Stats) {
+func run(t *testing.T, cfg Config, instrs []isa.Instruction, entries func(int, *isa.Instruction) trace.Entry) ([]dynInst, Stats) {
 	t.Helper()
 	es := make([]trace.Entry, len(instrs))
 	for i := range instrs {
@@ -23,8 +23,8 @@ func run(t *testing.T, cfg Config, instrs []isa.Instruction, entries func(int, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retired []*dynInst
-	p.observe = func(d *dynInst) { retired = append(retired, d) }
+	var retired []dynInst
+	p.observe = func(d *dynInst) { retired = append(retired, *d) }
 	stats, err := p.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,12 @@ import (
 // never is a cycle that never arrives.
 const never = int64(math.MaxInt64 / 4)
 
-// dynInst is one logical dynamic instruction in flight. A dual-distributed
+// dynInst is one logical dynamic instruction in flight, stored in a slot
+// of the processor's instruction ring (Processor.ring). A dual-distributed
 // instruction owns two uops (a master and a slave); a single-distributed
-// instruction owns one. The uops are embedded (mu, su) so a dynamic
-// instruction and its copies are a single allocation; master and slave
-// point into the same struct.
+// instruction owns one. Both copies are embedded, so the slot holds the
+// whole instruction and nothing in it points at another slot: other
+// instructions are named by their seq (see Processor.at).
 type dynInst struct {
 	seq   int64
 	idx   int // static instruction index
@@ -26,9 +27,8 @@ type dynInst struct {
 
 	dual     bool
 	masterCl int
-	master   *uop
-	slave    *uop // nil unless dual
-	mu, su   uop
+	master   uop
+	slave    uop // unused unless dual
 
 	// resultCycle is when the master's computation completes (set at
 	// master issue).
@@ -42,10 +42,12 @@ type dynInst struct {
 	issuedCopies int
 	copies       int
 
-	// Destination renaming bookkeeping for squash and retire.
+	// Destination renaming bookkeeping for squash and retire: prevProd[c]
+	// is the seq of the previous producer of destReg in cluster c (noInst
+	// when none).
 	destReg  isa.Reg
 	renamed  [2]bool
-	prevProd [2]*dynInst
+	prevProd [2]int64
 
 	// Conditional-branch state.
 	isCondBr     bool
@@ -59,8 +61,7 @@ type dynInst struct {
 	opHeld  bool
 	resHeld bool
 
-	squashed    bool
-	retiredFlag bool
+	squashed bool
 }
 
 // allIssued reports whether every copy has issued.
@@ -73,15 +74,14 @@ func (d *dynInst) retireReady(t int64) bool {
 
 // uop is one copy of an instruction in one cluster's dispatch queue.
 type uop struct {
-	inst    *dynInst
 	cluster int
 	master  bool
 
-	// srcs[:nSrcs] are the local producers whose values this copy reads
-	// from its cluster's register file. An instruction has at most two
-	// sources; producers already retired at distribute time are filtered
-	// (their values are architectural, readable immediately).
-	srcs  [2]*dynInst
+	// srcs[:nSrcs] are the seqs of the local producers whose values this
+	// copy reads from its cluster's register file. An instruction has at
+	// most two sources; producers already retired at distribute time are
+	// filtered (their values are architectural, readable immediately).
+	srcs  [2]int64
 	nSrcs int8
 
 	// fwdOperands is, for a master, the number of operands its slave
@@ -95,10 +95,11 @@ type uop struct {
 	// recvsResult marks a slave whose cluster receives the result.
 	recvsResult bool
 
-	// memDep, on a load's master, is the youngest older in-flight store to
-	// the same (word-aligned) address; the load issues no earlier than one
-	// cycle after it (store-queue forwarding).
-	memDep *dynInst
+	// memDep, on a load's master, is the seq of the youngest older
+	// in-flight store to the same (word-aligned) address, or noInst; the
+	// load issues no earlier than one cycle after it (store-queue
+	// forwarding).
+	memDep int64
 
 	// slotClass is the issue-rule class this copy's issue slot counts
 	// against.
@@ -109,10 +110,20 @@ type uop struct {
 	issueCycle    int64
 }
 
-// srcsReady reports whether all local register sources are readable at t.
-func (u *uop) srcsReady(t int64) bool {
+// copyIn returns d's copy in cluster c: the master, or else the slave.
+func (d *dynInst) copyIn(c int) *uop {
+	if d.masterCl == c {
+		return &d.master
+	}
+	return &d.slave
+}
+
+// srcsReady reports whether all of u's local register sources are
+// readable at t. A producer that has left the window is retired, and a
+// retired value is architectural: readyIn never exceeds doneCycle.
+func (p *Processor) srcsReady(u *uop, t int64) bool {
 	for i := int8(0); i < u.nSrcs; i++ {
-		if u.srcs[i].readyIn[u.cluster] > t {
+		if h := u.srcs[i]; h >= p.head && p.at(h).readyIn[u.cluster] > t {
 			return false
 		}
 	}
@@ -124,10 +135,10 @@ func (u *uop) srcsReady(t int64) bool {
 // operand-forwarding slave's issue; a result-receiving slave is released
 // max(1, L-1) cycles after the master issues (two cycles before the result
 // is due).
-func (u *uop) interCopyReady(t int64) bool {
+func (d *dynInst) interCopyReady(u *uop, t int64) bool {
 	if u.master {
 		if u.fwdOperands > 0 {
-			s := u.inst.slave
+			s := &d.slave
 			if !s.issued || s.issueCycle+1 > t {
 				return false
 			}
@@ -136,7 +147,7 @@ func (u *uop) interCopyReady(t int64) bool {
 	}
 	// Slave.
 	if u.recvsResult && !u.opFwdSlave {
-		m := u.inst.master
+		m := &d.master
 		if !m.issued {
 			return false
 		}
@@ -144,7 +155,7 @@ func (u *uop) interCopyReady(t int64) bool {
 		// forwarded value meets the slave in the buffer), but never in the
 		// master's own issue cycle. Using the actual result cycle matters
 		// for loads, whose completion depends on the data cache.
-		rel := u.inst.resultCycle - 1
+		rel := d.resultCycle - 1
 		if min := m.issueCycle + 1; rel < min {
 			rel = min
 		}

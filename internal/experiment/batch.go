@@ -4,8 +4,8 @@ package experiment
 // trace artifacts cached next to compiles in the run memo, and
 // CachedRunBatch — N machine configurations of one binary stepped over the
 // shared artifact by core.RunBatch. Sweep cells that share a (workload,
-// seed, budget) therefore share one trace-generation walk and recycle
-// simulation storage between members, instead of paying both per cell.
+// seed, budget) therefore share one trace-generation walk instead of
+// paying for it per cell.
 
 import (
 	"fmt"
@@ -125,8 +125,7 @@ func BatchGroupKey(benchName, schedName string, opts Options) string {
 // CachedRunBatch is CachedRun over N machine configurations of one binary.
 // Results are identical to N CachedRun calls (same memo keys, same
 // byte-identical statistics) but cheaper: all members feed from one cached
-// trace artifact, and members simulated together recycle their dynamic
-// instruction storage (see core.RunBatch). Configurations already resident
+// trace artifact (see core.RunBatch). Configurations already resident
 // in the run memo are served from it, so interleaving CachedRun and
 // CachedRunBatch never recomputes.
 //

@@ -4,11 +4,10 @@ package sweep
 // trace artifact — same benchmark, scheduler, window, seed, and budget,
 // differing only in machine configuration — are grouped and prewarmed
 // through experiment.CachedRunBatch before the individual cells run. The
-// batch fills the run memo for every member from one shared trace walk
-// (with cross-member storage recycling), so the cells themselves become
-// cache hits. Prewarming is purely an accelerator: cells never wait on
-// it, and a prewarm failure just means the affected cells compute
-// individually and report their own errors.
+// batch fills the run memo for every member from one shared trace walk,
+// so the cells themselves become cache hits. Prewarming is purely an
+// accelerator: cells never wait on it, and a prewarm failure just means
+// the affected cells compute individually and report their own errors.
 
 import (
 	"encoding/json"

@@ -2,8 +2,7 @@
 // group measured through the two pipelines a sweep can take. Lazy is the
 // pre-batching path — every cell re-walks the workload driver through its
 // own trace generator. Batched is the artifact path — one materialized
-// trace shared by all members with cross-member storage recycling, via
-// experiment.CachedRunBatch. Both report cells/sec; scripts/sweepdiff
+// trace shared by all members, via experiment.CachedRunBatch. Both report cells/sec; scripts/sweepdiff
 // runs them, gates the batched/lazy speedup, and writes BENCH_sweep.json.
 //
 // Each iteration draws a fresh seed from a private counter so the
@@ -93,8 +92,7 @@ func BenchmarkSweepCellsLazy(b *testing.B) {
 
 // BenchmarkSweepCellsBatched is the artifact pipeline: the same cell
 // group through experiment.CachedRunBatch — one materialized trace walk
-// feeding every machine configuration, with slab recycling between
-// members. The fresh per-iteration seed keeps the memo cold, and the
+// feeding every machine configuration. The fresh per-iteration seed keeps the memo cold, and the
 // generation counter proves the trace was produced exactly once per
 // group.
 func BenchmarkSweepCellsBatched(b *testing.B) {
