@@ -214,10 +214,11 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 		memDep:        noInst,
 		slotClass:     item.in.Op.Class(),
 		distributedAt: t,
+		wake:          t + 1,
 	}
 	lookup(m, pl.masterSrcs, pl.nMaster, pl.masterCl)
 	d.copies = 1
-	p.queue[pl.masterCl] = append(p.queue[pl.masterCl], d.seq)
+	p.enqueue(pl.masterCl, d.seq, t+1)
 	p.stats.Cluster[pl.masterCl].Distributed++
 
 	if pl.dual {
@@ -231,10 +232,11 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 			memDep:        noInst,
 			slotClass:     slaveSlotClass(item.in, pl),
 			distributedAt: t,
+			wake:          t + 1,
 		}
 		lookup(s, pl.slaveSrcs, pl.nSlave, other)
 		d.copies = 2
-		p.queue[other] = append(p.queue[other], d.seq)
+		p.enqueue(other, d.seq, t+1)
 		p.stats.Cluster[other].Distributed++
 		p.stats.DualDist++
 		if s.opFwdSlave {
@@ -290,6 +292,13 @@ func (p *Processor) distribute(item fetchItem, pl distPlan, t int64) *dynInst {
 		p.probes.Distribute(pl.dual)
 	}
 	return d
+}
+
+// enqueue appends a copy of instruction seq to cluster c's dispatch queue
+// with its first wake bound.
+func (p *Processor) enqueue(c int, seq, wake int64) {
+	p.queue[c] = append(p.queue[c], queueEntry{seq, wake})
+	p.minWake[c] = min(p.minWake[c], wake)
 }
 
 // slaveSlotClass returns the issue-rule class a slave copy's issue slot

@@ -180,12 +180,13 @@ func (p *Processor) replay(t int64) error {
 		p.stats.ReplayedInstructions++
 	}
 	p.inFlight -= victims
-	// Remove squashed copies from the dispatch queues.
+	// Remove squashed copies from the dispatch queues. The survivors are
+	// older than every victim, so their wake bounds (and minWake) stand.
 	for c := 0; c < p.cfg.Clusters; c++ {
 		kept := p.queue[c][:0]
-		for _, h := range p.queue[c] {
-			if !p.at(h).squashed {
-				kept = append(kept, h)
+		for _, e := range p.queue[c] {
+			if !p.at(e.seq).squashed {
+				kept = append(kept, e)
 			}
 		}
 		p.queue[c] = kept

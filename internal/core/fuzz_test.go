@@ -177,11 +177,11 @@ func checkCycleInvariants(t testing.TB, p *Processor) {
 }
 
 // machineInvariants runs a stream cycle by cycle, asserting the per-cycle
-// invariants at every step plus strictly in-order retirement, then the
-// conservation laws at drain: every instruction retires exactly once,
-// physical-register free counts return to their initial values, the
-// dispatch queues and active list drain, and the transfer-buffer occupancy
-// ends at zero.
+// invariants and the wake bounds at every step plus strictly in-order
+// retirement, then the conservation laws at drain: every instruction
+// retires exactly once, physical-register free counts return to their
+// initial values, the dispatch queues and active list drain, and the
+// transfer-buffer occupancy ends at zero.
 func machineInvariants(t testing.TB, cfg Config, entries []trace.Entry) Stats {
 	t.Helper()
 	p, err := New(cfg, &trace.SliceReader{Entries: entries})
@@ -216,6 +216,7 @@ func runInvariants(t testing.TB, p *Processor, n int64) Stats {
 			t.Fatalf("%v (stats %v)", err, p.stats)
 		}
 		checkCycleInvariants(t, p)
+		checkWakeBounds(t, p)
 	}
 	p.stats.Cycles = p.cycle
 	p.stats.ICache = p.icache.Stats()

@@ -1,99 +1,111 @@
 package core
 
-import "multicluster/internal/isa"
+import (
+	"slices"
+
+	"multicluster/internal/isa"
+)
+
+// queueEntry is one dispatch-queue slot: the seq of the instruction whose
+// copy waits in it, and a copy of that copy's wake bound (uop.wake), kept
+// here so the issue scan can pass over a copy that is not due without
+// reading the ring.
+type queueEntry struct {
+	seq, wake int64
+}
 
 // issueCluster runs one cluster's instruction-scheduling logic for cycle t:
 // a greedy pass over the dispatch queue in age order, issuing every ready
-// copy that fits within the Table 1 limits and resource constraints.
+// copy that fits within the Table 1 limits and resource constraints. A
+// copy whose wake bound lies past t cannot be ready, so the pass skips it
+// without touching the ring, and skips the whole queue when no copy is
+// due.
 func (p *Processor) issueCluster(c int, t int64) bool {
+	if p.minWake[c] > t {
+		return false
+	}
 	rules := p.cfg.Rules
 	var total, fpTotal, memTotal int
 	var classCount [isa.NumClasses]int
 
 	issuedAny := false
 	ring, mask := p.ring, p.ringMask // held in registers across the loop's stores
-	kept := p.queue[c][:0]
-	for i, h := range p.queue[c] {
-		if total >= rules.All {
-			// The cycle's issue slots are spent; the rest of the queue is
-			// kept as is (squashed copies cannot appear here — replay
-			// filters the queues when it squashes).
-			kept = append(kept, p.queue[c][i:]...)
-			break
-		}
-		d := &ring[h&mask]
-		u := d.copyIn(c)
-		ok, bufferBlocked := p.canIssue(d, u, c, t, rules, &classCount, fpTotal, memTotal)
-		if !ok {
+	q := p.queue[c]
+	n := 0 // entries kept so far, compacted to the front of q
+	minWake := never
+	for i, e := range q {
+		if e.wake <= t {
+			d := &ring[e.seq&mask]
+			u := d.copyIn(c)
+			next, bufferBlocked := p.canIssue(d, u, c, t, rules, &classCount, fpTotal, memTotal)
+			if next <= t {
+				p.doIssue(d, u, c, t)
+				issuedAny = true
+				total++
+				classCount[u.slotClass]++
+				if u.slotClass.IsFP() {
+					fpTotal++
+				}
+				if u.master && u.slotClass.IsMem() {
+					memTotal++
+				}
+				if total == rules.All {
+					// The cycle's issue slots are spent; the rest of the
+					// queue is kept as is (squashed copies cannot appear
+					// here — replay filters the queues when it squashes)
+					// and may be due next cycle.
+					n += copy(q[n:], q[i+1:])
+					minWake = t + 1
+					break
+				}
+				continue
+			}
 			// Record when the machine's oldest unissued instruction is
 			// held up purely by transfer-buffer space: the §2.1 deadlock
 			// precondition the replay exception exists for.
-			if bufferBlocked && h == p.oldestUnissuedSeq {
+			if bufferBlocked && e.seq == p.oldestUnissuedSeq {
 				p.bufBlockedNow = true
 			}
-			kept = append(kept, h)
-			continue
+			u.wake, e.wake = next, next
 		}
-		p.doIssue(d, u, c, t)
-		issuedAny = true
-		total++
-		classCount[u.slotClass]++
-		if u.slotClass.IsFP() {
-			fpTotal++
-		}
-		if u.master && u.slotClass.IsMem() {
-			memTotal++
-		}
+		minWake = min(minWake, e.wake)
+		q[n] = e
+		n++
 	}
-	p.queue[c] = kept
+	p.queue[c] = q[:n]
+	p.minWake[c] = minWake
 	return issuedAny
 }
 
 // canIssue checks readiness and every per-cycle resource constraint for
-// copy u of d without side effects. bufferBlocked reports that the only
-// thing missing was transfer-buffer space.
-func (p *Processor) canIssue(d *dynInst, u *uop, c int, t int64, rules isa.IssueRules, classCount *[isa.NumClasses]int, fpTotal, memTotal int) (ok, bufferBlocked bool) {
-	if u.distributedAt >= t {
-		return false, false // issueable the cycle after insertion at the earliest
+// copy u of d at cycle t without side effects. It returns t when the copy
+// can issue. Otherwise it returns the copy's next wake bound: the
+// readiness bound (see readyAt), the divider's release for a divide
+// blocked on it, or t+1 when only an issue slot or transfer-buffer space
+// was missing. bufferBlocked reports that the only thing missing was
+// transfer-buffer space.
+func (p *Processor) canIssue(d *dynInst, u *uop, c int, t int64, rules isa.IssueRules, classCount *[isa.NumClasses]int, fpTotal, memTotal int) (next int64, bufferBlocked bool) {
+	if w := p.readyAt(d, u, t); w > t {
+		return w, false
 	}
-	if classCount[u.slotClass] >= rules.ClassLimit(u.slotClass) {
-		return false, false
+	if classCount[u.slotClass] >= rules.ClassLimit(u.slotClass) ||
+		u.slotClass.IsFP() && fpTotal >= rules.FPAll ||
+		u.master && u.slotClass.IsMem() && memTotal >= rules.Mem {
+		return t + 1, false
 	}
-	if u.slotClass.IsFP() && fpTotal >= rules.FPAll {
-		return false, false
-	}
-	if u.master && u.slotClass.IsMem() && memTotal >= rules.Mem {
-		return false, false
-	}
-	if !p.srcsReady(u, t) || !d.interCopyReady(u, t) {
-		return false, false
-	}
-	if h := u.memDep; h >= p.head {
-		// Store-queue forwarding: the value is available one cycle after
-		// the store issues. A store that has left the window retired one
-		// cycle or more after issuing; an in-flight one cannot be squashed
-		// while this younger load is not.
-		if st := &p.at(h).master; !st.issued || st.issueCycle+1 > t {
-			return false, false
-		}
-	}
-	// Structural: the floating-point divider is not pipelined.
+	// Structural: the floating-point divider is not pipelined. A unit's
+	// busy-until cycle only ever moves later, so none is free before the
+	// earliest of them.
 	if u.master && u.slotClass == isa.ClassFPDiv && p.freeDivider(c, t) < 0 {
-		return false, false
+		return slices.Min(p.divFree[c]), false
 	}
 	// Transfer-buffer space: the last gate; a copy blocked here is ready in
 	// every other respect.
-	if u.master && u.sendsResult {
-		if !p.bufferFits(1-c, 1, false) {
-			return false, true
-		}
+	if u.master && u.sendsResult && !p.bufferFits(1-c, 1, false) ||
+		u.opFwdSlave && !p.bufferFits(1-c, d.master.fwdOperands, true) {
+		return t + 1, true
 	}
-	if u.opFwdSlave {
-		if !p.bufferFits(1-c, d.master.fwdOperands, true) {
-			return false, true
-		}
-	}
-	return true, false
+	return t, false
 }
 
 // bufferFits checks transfer-buffer capacity in the given cluster for n new

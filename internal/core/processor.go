@@ -21,8 +21,11 @@ type Processor struct {
 	// Per-cluster machine state. Queue and rename entries name
 	// instructions by seq (see at). The rename table is a dense array
 	// indexed directly by architectural register number (Reg values are
-	// 1..NumRegs; entry 0 is RegNone and stays noInst).
-	queue    [2][]int64
+	// 1..NumRegs; entry 0 is RegNone and stays noInst). minWake[c] is at
+	// most the least wake bound in queue[c], so the issue scan can pass
+	// over a cluster with nothing due.
+	queue    [2][]queueEntry
+	minWake  [2]int64
 	rename   [2][isa.NumRegs + 1]int64
 	freeRegs [2][2]int // [cluster][0 int, 1 fp]
 	divFree  [2][]int64

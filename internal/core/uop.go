@@ -108,6 +108,13 @@ type uop struct {
 	distributedAt int64
 	issued        bool
 	issueCycle    int64
+
+	// wake is a lower bound on the first cycle at which this copy can pass
+	// the readiness checks (sources, inter-copy dependence, store
+	// forwarding, divider), and it stays one for the rest of the run. The
+	// issue scan passes over the copy until then; dependents chain their
+	// own bounds off it (see readyAt).
+	wake int64
 }
 
 // copyIn returns d's copy in cluster c: the master, or else the slave.
@@ -118,49 +125,86 @@ func (d *dynInst) copyIn(c int) *uop {
 	return &d.slave
 }
 
-// srcsReady reports whether all of u's local register sources are
-// readable at t. A producer that has left the window is retired, and a
-// retired value is architectural: readyIn never exceeds doneCycle.
-func (p *Processor) srcsReady(u *uop, t int64) bool {
-	for i := int8(0); i < u.nSrcs; i++ {
-		if h := u.srcs[i]; h >= p.head && p.at(h).readyIn[u.cluster] > t {
-			return false
-		}
+// issueAt returns the cycle u issued or, while it has not, the earliest
+// cycle it still can: not before t, nor before its wake bound.
+func (u *uop) issueAt(t int64) int64 {
+	if u.issued {
+		return u.issueCycle
 	}
-	return true
+	return max(t, u.wake)
 }
 
-// interCopyReady checks the dependence between the two copies of a
-// dual-distributed instruction (§2.1): a master waits one cycle past its
-// operand-forwarding slave's issue; a result-receiving slave is released
-// max(1, L-1) cycles after the master issues (two cycles before the result
-// is due).
-func (d *dynInst) interCopyReady(u *uop, t int64) bool {
+// slaveRelease is the cycle a result-receiving slave is released once its
+// master has issued (§2.1): two cycles before the master's result is due,
+// so the forwarded value meets the slave in the buffer, but never in the
+// master's own issue cycle. Using the actual result cycle matters for
+// loads, whose completion depends on the data cache.
+func (d *dynInst) slaveRelease() int64 {
+	return max(d.resultCycle-1, d.master.issueCycle+1)
+}
+
+// resultLatency is the least number of cycles between the master's issue
+// and its result: the op latency, plus the load-delay slot for a load (a
+// data-cache miss only adds to it).
+func (p *Processor) resultLatency(d *dynInst) int64 {
+	if d.in.Op.Class() == isa.ClassLoad {
+		return int64(d.latency + p.cfg.LoadDelaySlots)
+	}
+	return int64(d.latency)
+}
+
+// valueAt returns the cycle producer d's value becomes readable in cluster
+// c or, while that is unknown, a lower bound on it. readyIn is set once
+// and never changes, and it is never below resultCycle, which is at least
+// the master's issue plus its result latency. Once the master has issued,
+// an unset readyIn[c] waits on the result-receiving slave, which writes
+// the value the cycle after it issues.
+func (p *Processor) valueAt(d *dynInst, c int, t int64) int64 {
+	switch {
+	case d.readyIn[c] != never:
+		return d.readyIn[c]
+	case !d.master.issued:
+		return d.master.issueAt(t) + p.resultLatency(d)
+	}
+	return max(d.slaveRelease(), d.slave.issueAt(t)) + 1
+}
+
+// readyAt returns the first cycle at which copy u of d passes the
+// readiness checks, as far as is known at cycle t: a value up to t means
+// it passes now, and a later value is a lower bound that holds for the
+// rest of the run. An unissued copy bounds from t, not t+1, because the
+// other cluster's copies may still issue this cycle.
+func (p *Processor) readyAt(d *dynInst, u *uop, t int64) int64 {
+	w := u.distributedAt + 1 // issueable the cycle after insertion at the earliest
+	// Local register sources. A producer that has left the window is
+	// retired, and a retired value is architectural.
+	for i := int8(0); i < u.nSrcs; i++ {
+		if h := u.srcs[i]; h >= p.head {
+			w = max(w, p.valueAt(p.at(h), u.cluster, t))
+		}
+	}
+	// The dependence between the two copies of a dual-distributed
+	// instruction (§2.1): a master waits one cycle past its
+	// operand-forwarding slave's issue; a result-receiving slave waits for
+	// its release, at least max(1, L-1) cycles after the master issues. An
+	// operand-forwarding slave is gated only by its sources.
 	if u.master {
 		if u.fwdOperands > 0 {
-			s := &d.slave
-			if !s.issued || s.issueCycle+1 > t {
-				return false
-			}
+			w = max(w, d.slave.issueAt(t)+1)
 		}
-		return true
+	} else if u.recvsResult && !u.opFwdSlave {
+		if d.master.issued {
+			w = max(w, d.slaveRelease())
+		} else {
+			w = max(w, d.master.issueAt(t)+max(p.resultLatency(d)-1, 1))
+		}
 	}
-	// Slave.
-	if u.recvsResult && !u.opFwdSlave {
-		m := &d.master
-		if !m.issued {
-			return false
-		}
-		// Released two cycles before the master's result is due (so the
-		// forwarded value meets the slave in the buffer), but never in the
-		// master's own issue cycle. Using the actual result cycle matters
-		// for loads, whose completion depends on the data cache.
-		rel := d.resultCycle - 1
-		if min := m.issueCycle + 1; rel < min {
-			rel = min
-		}
-		return rel <= t
+	// Store-queue forwarding: the value is available one cycle after the
+	// store issues. A store that has left the window retired one cycle or
+	// more after issuing; an in-flight one cannot be squashed while this
+	// younger load is not.
+	if h := u.memDep; h >= p.head {
+		w = max(w, p.at(h).master.issueAt(t)+1)
 	}
-	// Operand-forwarding slave: gated only by its sources (and resources).
-	return true
+	return w
 }
