@@ -227,5 +227,8 @@ func (c Config) Validate() error {
 	if c.ReplayWatchdog <= 0 {
 		return fmt.Errorf("core: ReplayWatchdog must be positive")
 	}
+	if c.MaxCycles < 0 {
+		return fmt.Errorf("core: negative MaxCycles %d", c.MaxCycles)
+	}
 	return nil
 }

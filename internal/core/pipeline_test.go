@@ -433,6 +433,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad2, &trace.SliceReader{}); err == nil {
 		t.Error("too-small register file accepted")
 	}
+	// A budget of 2^60 instructions makes MaxCycles = 40x wrap negative;
+	// it must be refused, not run as a zero-cycle simulation.
+	bad3 := DualCluster4Way()
+	budget := int64(1 << 60)
+	bad3.MaxCycles = budget * 40
+	if _, err := New(bad3, &trace.SliceReader{}); err == nil {
+		t.Errorf("negative MaxCycles %d accepted", bad3.MaxCycles)
+	}
 }
 
 func TestEmptyTrace(t *testing.T) {

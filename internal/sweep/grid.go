@@ -8,6 +8,11 @@ import (
 	"multicluster/internal/workload"
 )
 
+// MaxGridCells caps the cells a grid may expand to (the largest grid in the
+// repository, mcperf's sweep, has 144), so a small request body cannot
+// expand into millions of jobs.
+const MaxGridCells = 4096
+
 // Grid is a sweep request: the cross product of benchmarks, machines,
 // schedulers, windows, and seeds, each cell one JobSpec. Empty dimensions
 // default to the paper's evaluation axes.
@@ -54,6 +59,15 @@ func (g Grid) Expand() ([]JobSpec, error) {
 	seeds := g.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{42}
+	}
+	// Size the cross product before normalizing any cell, one dimension
+	// at a time so the product cannot overflow.
+	cells := 1
+	for _, n := range []int{len(benches), len(machines), len(scheds), len(windows), len(seeds)} {
+		if cells > MaxGridCells/n {
+			return nil, fmt.Errorf("%w: grid has more than %d cells", ErrLimit, MaxGridCells)
+		}
+		cells *= n
 	}
 
 	var specs []JobSpec

@@ -126,7 +126,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // Stable machine-readable error codes carried in the error envelope.
 // Clients branch on the code; the message is for humans and may change.
 const (
-	CodeInvalidRequest = "invalid_request" // malformed JSON, bad query params
+	CodeInvalidRequest = "invalid_request" // malformed JSON, bad query params, work over a limit
 	CodeInvalidSpec    = "invalid_spec"    // a spec or grid that fails validation
 	CodeNotFound       = "not_found"       // unknown (or evicted) resource id
 	CodeShed           = "shed"            // admission control refused the work
@@ -159,6 +159,17 @@ func WriteAPIError(w http.ResponseWriter, status int, code, message string) {
 
 func writeError(w http.ResponseWriter, status int, code string, err error) {
 	WriteAPIError(w, status, code, err.Error())
+}
+
+// writeSpecError answers a spec or grid that failed validation: 400
+// invalid_request when it asks for more than a limit admits, else 400
+// invalid_spec.
+func writeSpecError(w http.ResponseWriter, err error) {
+	code := CodeInvalidSpec
+	if errors.Is(err, ErrLimit) {
+		code = CodeInvalidRequest
+	}
+	writeError(w, http.StatusBadRequest, code, err)
 }
 
 // decodeBody decodes a JSON request body under the size cap, translating
@@ -219,7 +230,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, CodeShed, err)
 	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err)
+		writeSpecError(w, err)
 	}
 }
 
@@ -306,7 +317,7 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, err)
 	default:
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err)
+		writeSpecError(w, err)
 	}
 }
 
@@ -320,7 +331,7 @@ func (s *Server) handleSweepInline(w http.ResponseWriter, r *http.Request) {
 	}
 	rows, _, err := s.svc.Sweep(reqCtx(r), grid)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err)
+		writeSpecError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -470,6 +481,10 @@ func (s *Server) handleTable2(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("n"); v != "" {
 		if p.Instructions, err = strconv.ParseInt(v, 10, 64); err != nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("bad n: %w", err))
+			return
+		}
+		if p.Instructions > MaxInstructions {
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("%w: n %d exceeds %d", ErrLimit, p.Instructions, MaxInstructions))
 			return
 		}
 	}

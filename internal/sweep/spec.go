@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -32,6 +33,17 @@ import (
 	"multicluster/internal/experiment"
 	"multicluster/internal/workload"
 )
+
+// MaxInstructions caps a spec's dynamic and profiling budgets, so one
+// request cannot demand unbounded simulation work (the documented runs and
+// the benchmark use at most 300k). It also keeps MaxCycles, 40 times the
+// budget, far from overflow.
+const MaxInstructions = 10_000_000
+
+// ErrLimit marks a request that asks for more work than the service admits
+// (MaxInstructions, MaxGridCells); the HTTP layer answers it with 400
+// invalid_request.
+var ErrLimit = errors.New("sweep: request exceeds a limit")
 
 // JobSpec identifies one simulation: a benchmark compiled under a
 // scheduler and executed on a machine for a given dynamic budget and seed.
@@ -114,6 +126,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 	if s.Seed == 0 {
 		s.Seed = 42
+	}
+	if s.Instructions > MaxInstructions || s.ProfileInstructions > MaxInstructions {
+		return s, fmt.Errorf("%w: instruction budgets %d/%d exceed %d", ErrLimit, s.Instructions, s.ProfileInstructions, MaxInstructions)
 	}
 	if s.Instructions <= 0 {
 		s.Instructions = 300_000
