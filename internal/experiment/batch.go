@@ -112,7 +112,7 @@ func BatchGroupKey(benchName, schedName string, opts Options) string {
 	if opts.Instructions > artifactMaxInstrs {
 		return ""
 	}
-	if workload.ByName(benchName) == nil {
+	if !workload.Known(benchName) {
 		return ""
 	}
 	if _, err := SchedulerByName(schedName, opts.Window); err != nil {
@@ -137,7 +137,7 @@ func CachedRunBatch(benchName, schedName string, cfgs []core.Config, opts Option
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
-	if workload.ByName(benchName) == nil {
+	if !workload.Known(benchName) {
 		return nil, fmt.Errorf("experiment: unknown benchmark %q", benchName)
 	}
 	if _, err := SchedulerByName(schedName, opts.Window); err != nil {

@@ -200,7 +200,7 @@ func Table2Bench(b *workload.Benchmark, opts Options) (Table2Row, error) {
 	opts = opts.withDefaults()
 	row := Table2Row{Benchmark: b.Name}
 
-	if workload.ByName(b.Name) != nil {
+	if workload.Known(b.Name) {
 		single, none, local, err := table2Runs(b.Name, opts)
 		if err != nil {
 			return row, err

@@ -172,7 +172,7 @@ func CachedRun(benchName, schedName string, cfg core.Config, opts Options) (RunR
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = opts.Instructions * 40
 	}
-	if workload.ByName(benchName) == nil {
+	if !workload.Known(benchName) {
 		return RunResult{}, fmt.Errorf("experiment: unknown benchmark %q", benchName)
 	}
 	if _, err := SchedulerByName(schedName, opts.Window); err != nil {

@@ -40,9 +40,7 @@ type Grid struct {
 func (g Grid) Expand() ([]JobSpec, error) {
 	benches := g.Benchmarks
 	if len(benches) == 0 {
-		for _, b := range workload.All() {
-			benches = append(benches, b.Name)
-		}
+		benches = workload.Names()
 	}
 	machines := g.Machines
 	if len(machines) == 0 {
@@ -86,13 +84,9 @@ func (g Grid) Expand() ([]JobSpec, error) {
 							Instructions: g.Instructions,
 							PostSchedule: g.PostSchedule,
 						}
-						norm, err := spec.Normalize()
+						norm, hash, err := spec.normalizeHash()
 						if err != nil {
 							return nil, fmt.Errorf("sweep: cell %s: %w", spec, err)
-						}
-						hash, err := norm.Hash()
-						if err != nil {
-							return nil, err
 						}
 						if seen[hash] {
 							continue

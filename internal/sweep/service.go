@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -444,11 +445,7 @@ func (s *Service) jobID() string {
 // not by ctx's cancellation, so a submitter disconnecting does not kill
 // the job it was promised.
 func (s *Service) SubmitCtx(ctx context.Context, client string, spec JobSpec) (*Job, error) {
-	norm, err := spec.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	hash, err := norm.Hash()
+	norm, hash, err := spec.normalizeHash()
 	if err != nil {
 		return nil, err
 	}
@@ -591,14 +588,15 @@ func (s *Service) RunLocal(ctx context.Context, spec JobSpec) (res *Result, hit 
 }
 
 func (s *Service) run(ctx context.Context, spec JobSpec, routed bool) (res *Result, hit bool, err error) {
-	norm, err := spec.Normalize()
+	norm, hash, err := spec.normalizeHash()
 	if err != nil {
 		return nil, false, err
 	}
-	hash, err := norm.Hash()
-	if err != nil {
-		return nil, false, err
-	}
+	return s.runHashed(ctx, norm, hash, routed)
+}
+
+// runHashed is run for a spec already normalized and hashed.
+func (s *Service) runHashed(ctx context.Context, norm JobSpec, hash string, routed bool) (res *Result, hit bool, err error) {
 	if timeout := norm.Timeout(s.jobTimeout); timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -626,13 +624,9 @@ func (s *Service) StoreResult(res *Result) error {
 	if res == nil || res.Hash == "" {
 		return errors.New("sweep: result missing content hash")
 	}
-	norm, err := res.Spec.Normalize()
+	_, hash, err := res.Spec.normalizeHash()
 	if err != nil {
 		return fmt.Errorf("sweep: stored result spec invalid: %w", err)
-	}
-	hash, err := norm.Hash()
-	if err != nil {
-		return err
 	}
 	if hash != res.Hash {
 		return fmt.Errorf("sweep: stored result hash %.12s does not match its spec (%.12s)", res.Hash, hash)
@@ -689,7 +683,7 @@ func (s *Service) compute(ctx context.Context, spec JobSpec, hash string, onStar
 	}
 	var lastErr error
 	for attempt := 0; attempt < s.retry.MaxAttempts; attempt++ {
-		key := fmt.Sprintf("%s#%d", hash, attempt)
+		key := hash + "#" + strconv.Itoa(attempt)
 		res, hit, err := s.attempt(ctx, spec, hash, key, onStart)
 		if err == nil {
 			if !hit && s.remote != nil {

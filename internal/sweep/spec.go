@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"multicluster/internal/core"
@@ -92,7 +93,7 @@ func (s JobSpec) Timeout(def time.Duration) time.Duration {
 // spec is canonical: any two specs describing the same run normalize to
 // identical values and therefore identical hashes.
 func (s JobSpec) Normalize() (JobSpec, error) {
-	if workload.ByName(s.Benchmark) == nil {
+	if !workload.Known(s.Benchmark) {
 		return s, fmt.Errorf("sweep: unknown benchmark %q", s.Benchmark)
 	}
 	if s.TimeoutMS < 0 {
@@ -149,11 +150,44 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 // so a named machine and the equivalent explicit Config address the same
 // cache entry.
 func (s JobSpec) Hash() (string, error) {
+	_, h, err := s.normalizeHash()
+	return h, err
+}
+
+// normalizeHash normalizes the spec and hashes the result: the one
+// normalization each service entry point pays.
+func (s JobSpec) normalizeHash() (JobSpec, string, error) {
 	n, err := s.Normalize()
 	if err != nil {
-		return "", err
+		return n, "", err
 	}
-	cfg, _, err := n.Resolve()
+	h, err := n.hash()
+	return n, h, err
+}
+
+// hashMemo caches the hashes of normalized named-machine specs, which
+// cached reads repeat; encoding the configuration costs more than the
+// lookup the hash keys. Keys zero TimeoutMS, which the hash excludes. A
+// full memo starts over, so it holds at most hashMemoMax entries.
+var hashMemo struct {
+	mu sync.Mutex
+	m  map[JobSpec]string
+}
+
+const hashMemoMax = 4096
+
+// hash is Hash for a spec that is already normalized, so callers holding
+// one do not normalize twice.
+func (s JobSpec) hash() (string, error) {
+	memoKey := s
+	memoKey.TimeoutMS = 0
+	hashMemo.mu.Lock()
+	h, ok := hashMemo.m[memoKey]
+	hashMemo.mu.Unlock()
+	if ok {
+		return h, nil
+	}
+	cfg, _, err := s.Resolve()
 	if err != nil {
 		return "", err
 	}
@@ -166,13 +200,22 @@ func (s JobSpec) Hash() (string, error) {
 		Instrs    int64       `json:"instructions"`
 		Profile   int64       `json:"profile_instructions"`
 		PostSched bool        `json:"post_schedule"`
-	}{n.Benchmark, cfg, n.Scheduler, n.Window, n.Seed, n.Instructions, n.ProfileInstructions, n.PostSchedule}
+	}{s.Benchmark, cfg, s.Scheduler, s.Window, s.Seed, s.Instructions, s.ProfileInstructions, s.PostSchedule}
 	data, err := json.Marshal(key)
 	if err != nil {
 		return "", fmt.Errorf("sweep: hashing spec: %w", err)
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	h = hex.EncodeToString(sum[:])
+	if s.Config == nil {
+		hashMemo.mu.Lock()
+		if hashMemo.m == nil || len(hashMemo.m) >= hashMemoMax {
+			hashMemo.m = make(map[JobSpec]string)
+		}
+		hashMemo.m[memoKey] = h
+		hashMemo.mu.Unlock()
+	}
+	return h, nil
 }
 
 // Resolve returns the processor configuration and experiment options of a

@@ -37,9 +37,9 @@ func table2Cells(p Table2Params) []table2Cell {
 		singleMachine, dualMachine = "single4", "dual2"
 	}
 	var cells []table2Cell
-	for _, b := range workload.All() {
+	for _, name := range workload.Names() {
 		base := JobSpec{
-			Benchmark:    b.Name,
+			Benchmark:    name,
 			Seed:         p.Seed,
 			Instructions: p.Instructions,
 			Window:       p.Window,
@@ -51,9 +51,9 @@ func table2Cells(p Table2Params) []table2Cell {
 		local := base
 		local.Machine, local.Scheduler = dualMachine, "local"
 		cells = append(cells,
-			table2Cell{b.Name, 0, single},
-			table2Cell{b.Name, 1, none},
-			table2Cell{b.Name, 2, local},
+			table2Cell{name, 0, single},
+			table2Cell{name, 1, none},
+			table2Cell{name, 2, local},
 		)
 	}
 	return cells
@@ -65,16 +65,26 @@ func table2Cells(p Table2Params) []table2Cell {
 // paper's benchmark order.
 func (s *Service) Table2(ctx context.Context, p Table2Params) ([]experiment.Table2Row, error) {
 	cells := table2Cells(p)
+	// Normalize and hash here, so on a warm cache the fan-out's fresh
+	// goroutines do little more than a lookup and their stacks never grow.
+	specs := make([]JobSpec, len(cells))
+	hashes := make([]string, len(cells))
+	for i, c := range cells {
+		var err error
+		if specs[i], hashes[i], err = c.spec.normalizeHash(); err != nil {
+			return nil, fmt.Errorf("sweep: table2 %s (%s): %w", c.bench, c.spec, err)
+		}
+	}
 
 	results := make([]*Result, len(cells))
 	errs := make([]error, len(cells))
 	var wg sync.WaitGroup
-	for i, c := range cells {
+	for i := range cells {
 		wg.Add(1)
-		go func(i int, c table2Cell) {
+		go func() {
 			defer wg.Done()
-			results[i], _, errs[i] = s.Run(ctx, c.spec)
-		}(i, c)
+			results[i], _, errs[i] = s.runHashed(ctx, specs[i], hashes[i], true)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {

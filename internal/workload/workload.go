@@ -29,19 +29,37 @@ type Benchmark struct {
 	NewDriver func(seed int64) trace.Driver
 }
 
-// All returns the six benchmarks in the paper's Table 2 order.
-func All() []*Benchmark {
-	return []*Benchmark{
-		Compress(), Doduc(), Gcc1(), Ora(), Su2cor(), Tomcatv(),
-	}
+// names is the static name table, in the paper's Table 2 order, and
+// builders constructs each benchmark by name: checking or listing names
+// builds no program.
+var names = [...]string{"compress", "doduc", "gcc1", "ora", "su2cor", "tomcatv"}
+
+var builders = map[string]func() *Benchmark{
+	"compress": Compress, "doduc": Doduc, "gcc1": Gcc1,
+	"ora": Ora, "su2cor": Su2cor, "tomcatv": Tomcatv,
 }
 
-// ByName returns the named benchmark, or nil.
+// All returns the six benchmarks in the paper's Table 2 order.
+func All() []*Benchmark {
+	bs := make([]*Benchmark, len(names))
+	for i, n := range names {
+		bs[i] = builders[n]()
+	}
+	return bs
+}
+
+// Names returns the six benchmark names in the paper's Table 2 order.
+func Names() []string { return append([]string(nil), names[:]...) }
+
+// Known reports whether name is one of the six benchmarks.
+func Known(name string) bool { return builders[name] != nil }
+
+// ByName builds the named benchmark, or returns nil. Every call returns a
+// fresh instance: profiling writes block estimates into the IL program in
+// place, so instances must not be shared.
 func ByName(name string) *Benchmark {
-	for _, b := range All() {
-		if b.Name == name {
-			return b
-		}
+	if build := builders[name]; build != nil {
+		return build()
 	}
 	return nil
 }

@@ -43,6 +43,41 @@ func TestAllBenchmarksValidate(t *testing.T) {
 	}
 }
 
+func TestNameTable(t *testing.T) {
+	all := All()
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("Names() has %d entries, All() %d", len(names), len(all))
+	}
+	for i, b := range all {
+		if names[i] != b.Name {
+			t.Errorf("Names()[%d] = %q, All()[%d].Name = %q", i, names[i], i, b.Name)
+		}
+	}
+	for _, n := range names {
+		if !Known(n) {
+			t.Errorf("Known(%q) = false", n)
+		}
+		b := ByName(n)
+		if b == nil || b.Name != n {
+			t.Fatalf("ByName(%q) = %v", n, b)
+		}
+		// Profiling writes into the IL program, so every call must build
+		// a fresh instance.
+		if again := ByName(n); again == b || again.Program == b.Program {
+			t.Errorf("ByName(%q) returned a shared instance", n)
+		}
+	}
+	for _, n := range []string{"", "nope", "Compress"} {
+		if Known(n) {
+			t.Errorf("Known(%q) = true", n)
+		}
+	}
+	if len(builders) != len(names) {
+		t.Errorf("%d builders for %d names", len(builders), len(names))
+	}
+}
+
 func TestDriversAreDeterministic(t *testing.T) {
 	for _, b := range All() {
 		c1 := trace.Profile(b.Program, b.NewDriver(1), 20000)
