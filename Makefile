@@ -62,10 +62,14 @@ bench-serve:
 bench-sweep:
 	$(GO) run ./scripts/sweepdiff -out BENCH_sweep.json -baseline BENCH_sweep_baseline.json
 
-# fuzz runs the simulator-core fuzzer for a short budget (seed corpus in
-# internal/core/testdata/fuzz is always exercised by plain `make test`).
+# fuzz runs the simulator-core fuzzer, then the spec-boundary fuzzers
+# (JobSpec and Grid JSON through Normalize and Expand), each for a short
+# budget (the seed corpora under each package's testdata/fuzz are always
+# exercised by plain `make test`).
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCore -fuzztime 30s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzGrid$$' -fuzztime 10s
 
 # soak runs the chaos suite under the race detector: fault injection at
 # the simulation, cache, and journal boundaries, load shedding, and a
