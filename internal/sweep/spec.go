@@ -166,9 +166,9 @@ func (s JobSpec) normalizeHash() (JobSpec, string, error) {
 }
 
 // hashMemo caches the hashes of normalized named-machine specs, which
-// cached reads repeat; encoding the configuration costs more than the
-// lookup the hash keys. Keys zero TimeoutMS, which the hash excludes. A
-// full memo starts over, so it holds at most hashMemoMax entries.
+// cached reads repeat and which depend on nothing but the key. Keys zero
+// TimeoutMS, which the hash excludes. A full memo starts over, so it
+// holds at most hashMemoMax entries.
 var hashMemo struct {
 	mu sync.Mutex
 	m  map[JobSpec]string

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"multicluster/internal/core"
@@ -104,5 +105,54 @@ func TestGridExpandDefaults(t *testing.T) {
 		if strings.Contains(s.String(), "custom") {
 			t.Fatalf("default grid produced a custom config: %s", s)
 		}
+	}
+}
+
+// TestHashMemoConcurrent hashes more distinct specs than the memo holds
+// from several goroutines at once, so lookups, inserts and the reset at the
+// bound race each other. Every hash, computed or memoized, must equal the
+// one an empty memo computes for that spec.
+func TestHashMemoConcurrent(t *testing.T) {
+	const workers, perWorker = 4, hashMemoMax / 2
+	spec := func(w, i int) JobSpec {
+		return JobSpec{Benchmark: "ora", Machine: "single4", Seed: int64(w*perWorker + i + 1), Instructions: 5_000, TimeoutMS: int64(i % 3)}
+	}
+	forget := func() {
+		hashMemo.mu.Lock()
+		hashMemo.m = nil
+		hashMemo.mu.Unlock()
+	}
+	want := make([][]string, workers)
+	for w := range want {
+		for i := 0; i < perWorker; i++ {
+			forget()
+			h, err := spec(w, i).Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[w] = append(want[w], h)
+		}
+	}
+	forget()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < perWorker; i++ {
+					if h, err := spec(w, i).Hash(); err != nil || h != want[w][i] {
+						t.Errorf("spec %d/%d pass %d hashed %s (%v), want %s", w, i, pass, h, err, want[w][i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hashMemo.mu.Lock()
+	defer hashMemo.mu.Unlock()
+	if len(hashMemo.m) > hashMemoMax {
+		t.Errorf("memo holds %d entries, bound %d", len(hashMemo.m), hashMemoMax)
 	}
 }
