@@ -30,11 +30,11 @@ type Benchmark struct {
 }
 
 // names is the static name table, in the paper's Table 2 order, and
-// builders constructs each benchmark by name: checking or listing names
+// constructors builds each benchmark by name: checking or listing names
 // builds no program.
 var names = [...]string{"compress", "doduc", "gcc1", "ora", "su2cor", "tomcatv"}
 
-var builders = map[string]func() *Benchmark{
+var constructors = map[string]func() *Benchmark{
 	"compress": Compress, "doduc": Doduc, "gcc1": Gcc1,
 	"ora": Ora, "su2cor": Su2cor, "tomcatv": Tomcatv,
 }
@@ -43,7 +43,7 @@ var builders = map[string]func() *Benchmark{
 func All() []*Benchmark {
 	bs := make([]*Benchmark, len(names))
 	for i, n := range names {
-		bs[i] = builders[n]()
+		bs[i] = constructors[n]()
 	}
 	return bs
 }
@@ -52,13 +52,13 @@ func All() []*Benchmark {
 func Names() []string { return append([]string(nil), names[:]...) }
 
 // Known reports whether name is one of the six benchmarks.
-func Known(name string) bool { return builders[name] != nil }
+func Known(name string) bool { return constructors[name] != nil }
 
 // ByName builds the named benchmark, or returns nil. Every call returns a
 // fresh instance: profiling writes block estimates into the IL program in
 // place, so instances must not be shared.
 func ByName(name string) *Benchmark {
-	if build := builders[name]; build != nil {
+	if build := constructors[name]; build != nil {
 		return build()
 	}
 	return nil

@@ -73,8 +73,8 @@ func TestNameTable(t *testing.T) {
 			t.Errorf("Known(%q) = true", n)
 		}
 	}
-	if len(builders) != len(names) {
-		t.Errorf("%d builders for %d names", len(builders), len(names))
+	if len(constructors) != len(names) {
+		t.Errorf("%d constructors for %d names", len(constructors), len(names))
 	}
 }
 
